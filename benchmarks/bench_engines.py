@@ -1,15 +1,17 @@
-"""Scalar vs IR-levelized engine benchmark (the compiled-IR rationale).
+"""Reference walk vs IR-levelized engine benchmark (the compiled-IR rationale).
 
-Every analysis engine now consumes the circuit's compiled array-native IR
+Every analysis engine has one forward pass, levelized over the circuit's
+compiled array-native IR
 (:meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`).  This
 benchmark measures what that buys on real registry circuits, engine by
-engine:
+engine, against the gate-by-gate reference oracles of ``tests/reference.py``
+(the "scalar" columns):
 
-* **DSTA**    — scalar per-gate walk vs levelized forward pass,
-* **FASSTA**  — scalar Clark folds vs levelized ``clark_max_fast_arrays``,
-* **FULLSSTA**— scalar discrete-pdf folds vs batched levelized propagation,
-* **MC**      — the historical per-gate dict propagation (inlined below as
-  the reference) vs the levelized all-samples-at-once program.
+* **DSTA**    — per-gate walk vs levelized forward pass,
+* **FASSTA**  — per-gate Clark folds vs levelized ``clark_max_fast_arrays``,
+* **FULLSSTA**— per-gate discrete-pdf folds vs batched levelized propagation,
+* **MC**      — per-gate dict propagation vs the levelized
+  all-samples-at-once program.
 
 The MC comparison times the *propagation stage* on shared pre-drawn gate
 delays — the code the IR refactor actually rewrote; the Gaussian draws are
@@ -28,8 +30,8 @@ at the repo root.
 
 A second axis, ``--generated depth,width[,seed]``, times the front-end scale
 path on synthetic circuits instead: generate -> elaborate/canonicalize ->
-lint -> compile -> vectorized DSTA, stage by stage.  At 100k gates the
-scalar reference engines are the bottleneck, so this axis tracks pipeline
+lint -> compile -> levelized DSTA, stage by stage.  At 100k gates the
+reference walks are the bottleneck, so this axis tracks pipeline
 linearity rather than the scalar/levelized ratio; its records land in the
 same ``BENCH_engines.json`` trajectory tagged ``"kind": "frontend-scale"``.
 
@@ -64,6 +66,12 @@ from repro.montecarlo.mc import MonteCarloTimer, propagate_levelized  # noqa: E4
 from repro.obs import clock  # noqa: E402
 from repro.sta.dsta import DeterministicSTA  # noqa: E402
 from repro.variation.model import VariationModel  # noqa: E402
+from tests.reference import (  # noqa: E402
+    ReferenceDSTA,
+    ReferenceFASSTA,
+    ReferenceFULLSSTA,
+    reference_mc_samples,
+)
 
 #: Full benchmark: the two largest registry circuits.
 FULL_CIRCUITS = ["c6288", "c7552"]
@@ -91,37 +99,6 @@ def _best_of(fn, rounds: int) -> Tuple[float, object]:
     return best, value
 
 
-def _reference_mc_samples(timer, circuit, num_samples, seed):
-    """The historical per-gate dict-propagation Monte-Carlo path.
-
-    Same generator stream as :meth:`MonteCarloTimer.run` (draws in
-    topological order), propagation one gate at a time — the exact code the
-    levelized path replaced, kept here as the bit-identity reference.
-    """
-    rng = np.random.default_rng(seed)
-    order = circuit.topological_order()
-    distributions = timer.variation_model.all_gate_distributions(
-        circuit, timer.delay_model
-    )
-    gate_samples = {}
-    for name in order:
-        dist = distributions[name]
-        gate_samples[name] = rng.normal(dist.mean, dist.sigma, num_samples)
-    arrivals = {net: np.zeros(num_samples) for net in circuit.primary_inputs}
-    for name in order:
-        gate = circuit.gate(name)
-        worst = None
-        for net in gate.inputs:
-            arr = arrivals.setdefault(net, np.zeros(num_samples))
-            worst = arr if worst is None else np.maximum(worst, arr)
-        arrivals[gate.output] = worst + gate_samples[name]
-    delay = None
-    for net in circuit.primary_outputs:
-        arr = arrivals[net]
-        delay = arr if delay is None else np.maximum(delay, arr)
-    return delay
-
-
 def _draw_gate_delays(timer, circuit, plan, num_samples, seed):
     """Pre-draw the (num_gates, num_samples) delay matrix in IR gate order.
 
@@ -143,10 +120,10 @@ def _draw_gate_delays(timer, circuit, plan, num_samples, seed):
 
 
 def _pergate_propagation(circuit, plan, delay):
-    """The historical per-gate dict propagation over pre-drawn delays.
+    """Per-gate dict propagation over pre-drawn delays.
 
-    The exact propagation loop the levelized array program replaced, fed
-    from the shared delay matrix so only propagation is timed.
+    The propagation loop of :func:`tests.reference.reference_mc_samples`,
+    fed from the shared delay matrix so only propagation is timed.
     """
     num_samples = delay.shape[1]
     arrivals = {net: np.zeros(num_samples) for net in circuit.primary_inputs}
@@ -191,8 +168,8 @@ def bench_circuit(
         return speedup
 
     # --- DSTA ---------------------------------------------------------
-    dsta_scalar = DeterministicSTA(delay_model)
-    dsta_vector = DeterministicSTA(delay_model, vectorized=True)
+    dsta_scalar = ReferenceDSTA(delay_model)
+    dsta_vector = DeterministicSTA(delay_model)
     t_s, ref = _best_of(lambda: dsta_scalar.arrival_times(circuit), rounds)
     t_v, vec = _best_of(lambda: dsta_vector.arrival_times(circuit), rounds)
     identical = ref[0] == vec[0] and ref[1] == vec[1]
@@ -204,8 +181,8 @@ def bench_circuit(
     }
 
     # --- FASSTA -------------------------------------------------------
-    fassta_scalar = FASSTA(delay_model, variation_model)
-    fassta_vector = FASSTA(delay_model, variation_model, vectorized=True)
+    fassta_scalar = ReferenceFASSTA(delay_model, variation_model)
+    fassta_vector = FASSTA(delay_model, variation_model)
     t_s, ref = _best_of(lambda: fassta_scalar.analyze(circuit), rounds)
     t_v, vec = _best_of(lambda: fassta_vector.analyze(circuit), rounds)
     err = max(
@@ -227,8 +204,8 @@ def bench_circuit(
     }
 
     # --- FULLSSTA -----------------------------------------------------
-    full_scalar = FULLSSTA(delay_model, variation_model)
-    full_vector = FULLSSTA(delay_model, variation_model, vectorized=True)
+    full_scalar = ReferenceFULLSSTA(delay_model, variation_model)
+    full_vector = FULLSSTA(delay_model, variation_model)
     t_s, ref = _best_of(lambda: full_scalar.analyze(circuit), rounds)
     t_v, vec = _best_of(lambda: full_vector.analyze(circuit), rounds)
     err = max(
@@ -275,7 +252,7 @@ def bench_circuit(
     # End-to-end (draws + propagation), for transparency: the Gaussian
     # draws are identical work in both paths and dominate the wall clock.
     t_es, ref_samples = _best_of(
-        lambda: _reference_mc_samples(timer, circuit, mc_samples, seed=0), rounds
+        lambda: reference_mc_samples(timer, circuit, mc_samples, seed=0), rounds
     )
     t_ev, result = _best_of(
         lambda: timer.run(circuit, num_samples=mc_samples, seed=0), rounds
@@ -303,9 +280,9 @@ def bench_generated(
     """Front-end scale benchmark on one generated circuit.
 
     Times the full pipeline stage by stage — generate (raw netlist),
-    elaborate + canonicalize, DRC lint, compile to the array IR, vectorized
+    elaborate + canonicalize, DRC lint, compile to the array IR, levelized
     DSTA — rather than the scalar/levelized engine comparison: at the 100k
-    gate scale the scalar reference engines are the bottleneck, and what
+    gate scale the reference walks are the bottleneck, and what
     this axis tracks is that the front end and compiled path stay linear.
     """
     from repro.circuits.synthetic import parse_generated_spec, synthetic_raw
@@ -332,7 +309,7 @@ def bench_generated(
     circuit.compiled()
     stages["compile_s"] = clock() - start
 
-    dsta = DeterministicSTA(delay_model, vectorized=True)
+    dsta = DeterministicSTA(delay_model)
     stages["dsta_levelized_s"], _ = _best_of(
         lambda: dsta.arrival_times(circuit), rounds
     )
@@ -371,7 +348,7 @@ def run(
 ) -> Tuple[str, List[Dict[str, object]], bool]:
     delay_model, variation_model = _substrates()
     lines = [
-        "Engines on the compiled IR: scalar vs levelized paths",
+        "Engines on the compiled IR: reference walk (scalar) vs levelized pass",
         f"(equivalence asserted per run: DSTA/MC bit-identical, "
         f"FASSTA/FULLSSTA moments to {MOMENT_TOLERANCE:g}; "
         f"best of {rounds} rounds)",
@@ -460,7 +437,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if not ok:
         print(
-            "FAILED: a levelized path diverged from its scalar engine",
+            "FAILED: a levelized pass diverged from its reference walk",
             file=sys.stderr,
         )
         return 1

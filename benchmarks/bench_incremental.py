@@ -1,21 +1,22 @@
-"""From-scratch vs incremental/vectorized sizing-pipeline benchmark.
+"""From-scratch vs incremental sizing-pipeline benchmark.
 
 Measures the wall-clock effect of the exactness-preserving evaluation
 pipeline on full :class:`~repro.core.sizer.StatisticalGreedySizer` runs:
 
-* **baseline** — ``SizerConfig(incremental_reanalysis=False,
-  vectorized_fassta=False)``: every outer-loop analysis re-propagates the
-  whole circuit and every inner-loop evaluation re-extracts and re-times
-  its subcircuit from scratch;
+* **baseline** — ``SizerConfig(incremental_reanalysis=False)``: every
+  outer-loop analysis re-propagates the whole circuit with
+  :meth:`FULLSSTA.analyze`;
 * **fast** — the default pipeline: incremental FULLSSTA re-analysis over
-  dirty cones, memoized subcircuit extraction and whole-gate evaluations,
-  shared delay moments across candidate sizes, vectorized FASSTA.
+  dirty cones.  Both share the memoized subcircuit extraction and
+  whole-gate evaluations and the delay moments shared across candidate
+  sizes.
 
 Because every layer is exactness-preserving the two configurations take
 identical sizing decisions; the benchmark asserts the final mu/sigma match
 to 1e-6 and reports the speedup.  A second section times the raw engines
-(scalar vs vectorized FASSTA; from-scratch vs incremental FULLSSTA under
-random resize sequences).
+(the gate-by-gate reference walk of ``tests/reference.py`` vs levelized
+FASSTA; from-scratch vs incremental FULLSSTA under random resize
+sequences).
 
 Run directly::
 
@@ -47,6 +48,7 @@ from repro.library.delay_model import LookupTableDelayModel  # noqa: E402
 from repro.library.synthetic90nm import make_synthetic_90nm_library  # noqa: E402
 from repro.obs import clock  # noqa: E402
 from repro.variation.model import VariationModel  # noqa: E402
+from tests.reference import ReferenceFASSTA  # noqa: E402
 
 #: Default circuit for the full benchmark: the largest registry circuit.
 FULL_CIRCUITS = ["c6288"]
@@ -74,7 +76,6 @@ def _run_sizer(
         lam=lam,
         max_iterations=max_iterations,
         incremental_reanalysis=fast,
-        vectorized_fassta=fast,
     )
     sizer = StatisticalGreedySizer(delay_model, variation_model, config)
     start = clock()
@@ -83,21 +84,21 @@ def _run_sizer(
 
 
 def _time_engines(circuit_name: str, delay_model, variation_model):
-    """Raw-engine comparison: FASSTA scalar/vectorized, FULLSSTA scratch/incremental."""
+    """Raw-engine comparison: FASSTA reference/levelized, FULLSSTA scratch/incremental."""
     circuit = build_benchmark(circuit_name)
     rounds = 3
 
-    scalar = FASSTA(delay_model, variation_model)
-    vectorized = FASSTA(delay_model, variation_model, vectorized=True)
+    scalar = ReferenceFASSTA(delay_model, variation_model)
+    levelized = FASSTA(delay_model, variation_model)
     scalar.analyze(circuit)
-    vectorized.analyze(circuit)  # warm the levelized plan
+    levelized.analyze(circuit)  # warm the levelized plan
     start = clock()
     for _ in range(rounds):
         ref = scalar.analyze(circuit)
     t_scalar = (clock() - start) / rounds
     start = clock()
     for _ in range(rounds):
-        vec = vectorized.analyze(circuit)
+        vec = levelized.analyze(circuit)
     t_vector = (clock() - start) / rounds
     moment_err = abs(ref.mean - vec.mean) + abs(ref.sigma - vec.sigma)
 
@@ -122,7 +123,7 @@ def _time_engines(circuit_name: str, delay_model, variation_model):
 
     lines = [
         f"Raw engines on {circuit_name} ({circuit.num_gates()} gates):",
-        f"  FASSTA   scalar {t_scalar * 1e3:8.1f} ms   vectorized {t_vector * 1e3:8.1f} ms   "
+        f"  FASSTA   reference {t_scalar * 1e3:8.1f} ms   levelized {t_vector * 1e3:8.1f} ms   "
         f"speedup {t_scalar / max(t_vector, 1e-12):.2f}x   moment err {moment_err:.2e}",
         f"  FULLSSTA scratch {t_full / steps * 1e3:7.1f} ms   incremental {t_inc / steps * 1e3:7.1f} ms   "
         f"speedup {t_full / max(t_inc, 1e-12):.2f}x   (3 random resizes per step)",
@@ -156,7 +157,7 @@ def run(
     """Run the benchmark; returns (report text, trajectory records, ok)."""
     delay_model, variation_model = _substrates()
     lines = [
-        "Incremental & vectorized SSTA evaluation pipeline",
+        "Incremental SSTA evaluation pipeline",
         f"(lam = {lam}, max_iterations = {max_iterations}; "
         f"tolerance on final moments = {MOMENT_TOLERANCE:g})",
         "",
@@ -264,13 +265,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.no_trajectory:
         path = append_entry(
             "incremental", records, "quick" if args.quick else "full",
-            description="from-scratch vs incremental/vectorized sizing "
+            description="from-scratch vs incremental sizing "
                         "pipeline (bench_incremental.py)",
         )
         print(f"trajectory appended to {path}")
 
     if not ok:
-        print("FAILED: incremental/vectorized pipeline diverged from the "
+        print("FAILED: incremental pipeline diverged from the "
               "from-scratch engines", file=sys.stderr)
         return 1
     return 0

@@ -1,11 +1,11 @@
-"""Yield-mode benchmark: vectorized discrete-PDF engine + yield-targeted sizing.
+"""Yield-mode benchmark: levelized discrete-PDF engine + yield-targeted sizing.
 
 Two sections:
 
-* **engine** — scalar vs levelized-vectorized FULLSSTA wall-clock on
-  registry circuits.  Both paths perform the same canonicalize/compact
-  arithmetic, so the benchmark asserts their output moments agree to 1e-9
-  and reports the speedup;
+* **engine** — the gate-by-gate reference walk of ``tests/reference.py``
+  vs levelized FULLSSTA wall-clock on registry circuits.  Both perform the
+  same canonicalize/compact arithmetic, so the benchmark asserts their
+  output moments agree to 1e-9 and reports the speedup;
 * **sizer** — ``SizerConfig(objective="yield")`` against the paper's
   weighted-cost sizer from the same mean-delay baseline.  The comparison
   metric is the acceptance criterion of the yield mode: the yield-sized
@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 
 # Allow running as a plain script from the repo root.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.analysis.timing_yield import period_for_yield, timing_yield  # noqa: E402
 from repro.circuits.registry import build_benchmark  # noqa: E402
@@ -39,6 +40,7 @@ from repro.library.delay_model import LookupTableDelayModel  # noqa: E402
 from repro.library.synthetic90nm import make_synthetic_90nm_library  # noqa: E402
 from repro.obs import clock  # noqa: E402
 from repro.variation.model import VariationModel  # noqa: E402
+from tests.reference import ReferenceFULLSSTA  # noqa: E402
 
 #: Engine-comparison circuits (full / CI smoke).
 FULL_ENGINE_CIRCUITS = ["c880", "c2670", "c6288"]
@@ -59,27 +61,27 @@ def _substrates():
 
 def _bench_engines(circuits: List[str], delay_model, variation_model) -> Tuple[List[str], bool]:
     lines = [
-        "Scalar vs vectorized FULLSSTA (discrete-pdf propagation)",
+        "Reference walk vs levelized FULLSSTA (discrete-pdf propagation)",
         f"(moment tolerance {MOMENT_TOLERANCE:g})",
         "",
-        f"{'circuit':8s} {'gates':>6s} {'scalar (ms)':>12s} {'vector (ms)':>12s} "
+        f"{'circuit':8s} {'gates':>6s} {'ref (ms)':>12s} {'level (ms)':>12s} "
         f"{'speedup':>8s} {'moment err':>11s}",
     ]
     ok = True
     rounds = 3
     for name in circuits:
         circuit = build_benchmark(name)
-        scalar = FULLSSTA(delay_model, variation_model)
-        vectorized = FULLSSTA(delay_model, variation_model, vectorized=True)
+        scalar = ReferenceFULLSSTA(delay_model, variation_model)
+        levelized = FULLSSTA(delay_model, variation_model)
         scalar.analyze(circuit)
-        vectorized.analyze(circuit)  # warm the levelized plan
+        levelized.analyze(circuit)  # warm the levelized plan
         start = clock()
         for _ in range(rounds):
             ref = scalar.analyze(circuit)
         t_scalar = (clock() - start) / rounds
         start = clock()
         for _ in range(rounds):
-            vec = vectorized.analyze(circuit)
+            vec = levelized.analyze(circuit)
         t_vector = (clock() - start) / rounds
         err = max(abs(ref.mean - vec.mean), abs(ref.sigma - vec.sigma))
         matched = err <= MOMENT_TOLERANCE
@@ -95,7 +97,7 @@ def _bench_engines(circuits: List[str], delay_model, variation_model) -> Tuple[L
 def _bench_sizer(
     delay_model, variation_model, max_iterations: int
 ) -> Tuple[List[str], bool]:
-    referee = FULLSSTA(delay_model, variation_model, num_samples=31, vectorized=True)
+    referee = FULLSSTA(delay_model, variation_model, num_samples=31)
 
     def sized(config: SizerConfig):
         circuit = build_benchmark(SIZER_CIRCUIT)
@@ -181,7 +183,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     (results_dir / "yield.txt").write_text(report + "\n")
 
     if not ok:
-        print("FAILED: vectorized engine diverged or the yield objective lost "
+        print("FAILED: levelized engine diverged or the yield objective lost "
               "to the weighted-cost sizer", file=sys.stderr)
         return 1
     return 0

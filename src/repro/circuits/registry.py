@@ -220,6 +220,14 @@ BENCHMARK_NAMES: List[str] = [
 ]
 
 
+class UnknownCircuitError(KeyError):
+    """A circuit name that is neither a registry name nor a valid ``gen`` spec."""
+
+    def __str__(self) -> str:
+        # KeyError's own str() would quote the whole message.
+        return str(self.args[0])
+
+
 def build_benchmark(name: str) -> Circuit:
     """Build a fresh instance of the named benchmark circuit.
 
@@ -232,7 +240,7 @@ def build_benchmark(name: str) -> Circuit:
         try:
             spec = parse_generated_spec(name[len("gen:"):])
         except ValueError as exc:
-            raise KeyError(f"bad generator spec {name!r}: {exc}") from exc
+            raise UnknownCircuitError(f"bad generator spec {name!r}: {exc}") from exc
         return synthetic_circuit(spec)
     if name in GENERATED_SPECS:
         return synthetic_circuit(GENERATED_SPECS[name])
@@ -240,7 +248,7 @@ def build_benchmark(name: str) -> Circuit:
         builder = _BUILDERS[name]
     except KeyError:
         known = ", ".join([*sorted(_BUILDERS), *GENERATED_NAMES, "gen:<spec>"])
-        raise KeyError(f"unknown benchmark {name!r}; known: {known}") from None
+        raise UnknownCircuitError(f"unknown benchmark {name!r}; known: {known}") from None
     return builder()
 
 

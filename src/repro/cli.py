@@ -44,9 +44,10 @@ drivers removed and any diagnostics.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import NoReturn, Optional, Tuple
 
 from repro.analysis.experiments import run_table1
 from repro.analysis.metrics import criticality_report_data
@@ -70,14 +71,16 @@ from repro.circuits.registry import (
     BENCHMARK_NAMES,
     GENERATED_SPECS,
     PAPER_GATE_COUNTS,
+    UnknownCircuitError,
     build_benchmark,
 )
 from repro.core.baseline import MeanDelaySizer
 from repro.core.fassta import FASSTA
 from repro.core.fullssta import FULLSSTA
-from repro.core.sizer import SizerConfig
+from repro.core.sizer import ConfigError, SizerConfig
 from repro.flow import run_sizing_flow
 from repro.montecarlo.mc import MonteCarloTimer
+from repro.netlist.ast import FrontendError
 from repro.netlist.bench import parse_bench_file
 from repro.obs import load_trace, write_trace
 from repro.obs.report import (
@@ -154,6 +157,24 @@ def _substrates(args) -> Tuple:
     return _substrate_spec(args).build()
 
 
+def _finite_float(text: str) -> float:
+    """``argparse`` type for float flags: rejects ``nan`` and ``inf``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as one ``error: ...`` line (exit 2)."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def _add_frontend_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--top", default=None, metavar="MODULE",
                         help="top module of a hierarchical Verilog netlist "
@@ -163,9 +184,9 @@ def _add_frontend_options(parser: argparse.ArgumentParser) -> None:
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sizes-per-cell", type=int, default=7,
                         help="discrete sizes per cell type in the synthetic library")
-    parser.add_argument("--alpha", type=float, default=0.6,
+    parser.add_argument("--alpha", type=_finite_float, default=0.6,
                         help="proportional variation coefficient of a minimum-size gate")
-    parser.add_argument("--random-sigma", type=float, default=2.0,
+    parser.add_argument("--random-sigma", type=_finite_float, default=2.0,
                         help="unsystematic (size-independent) delay sigma in ps")
 
 
@@ -261,8 +282,6 @@ def cmd_size(args) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    circuit = load_circuit(args.circuit, top=args.top)
-    library, delay_model, variation_model = _substrates(args)
     config = SizerConfig(
         lam=args.lam,
         max_iterations=args.max_iterations,
@@ -271,6 +290,8 @@ def cmd_size(args) -> int:
         max_area_ratio=args.max_area_ratio,
         pdf_samples=args.pdf_samples,
     )
+    circuit = load_circuit(args.circuit, top=args.top)
+    library, delay_model, variation_model = _substrates(args)
     try:
         result = run_sizing_flow(
             circuit,
@@ -381,7 +402,6 @@ def cmd_report(args) -> int:
     analysis = FASSTA(
         delay_model,
         variation_model,
-        vectorized=True,
         worst_key=lambda rv: rv.mean + args.lam * rv.sigma,
     ).analyze(circuit)
     crit = CriticalityAnalyzer(circuit).analyze(analysis.arrivals)
@@ -669,7 +689,7 @@ def cmd_benchmarks(args) -> int:
 
 # ---------------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="repro-sizer",
         description="Statistical gate sizing for process-variation tolerance "
                     "(Neiroukh & Song, DATE 2005 reproduction)",
@@ -688,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sta = sub.add_parser("sta", help="deterministic STA report")
     p_sta.add_argument("circuit")
-    p_sta.add_argument("--period", type=float, default=None, help="clock period in ps")
+    p_sta.add_argument("--period", type=_finite_float, default=None, help="clock period in ps")
     _add_frontend_options(p_sta)
     _add_common_options(p_sta)
     p_sta.set_defaults(func=cmd_sta)
@@ -697,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ssta.add_argument("circuit")
     p_ssta.add_argument("--monte-carlo", type=int, default=0, metavar="N",
                         help="validate with N Monte-Carlo samples")
-    p_ssta.add_argument("--period", type=float, default=None,
+    p_ssta.add_argument("--period", type=_finite_float, default=None,
                         help="report timing yield at this clock period (ps)")
     p_ssta.add_argument("--seed", type=int, default=0)
     _add_frontend_options(p_ssta)
@@ -706,14 +726,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_size = sub.add_parser("size", help="run the full statistical sizing flow")
     p_size.add_argument("circuit")
-    p_size.add_argument("--lam", type=float, default=3.0, help="Eq. 7 sigma weight")
+    p_size.add_argument("--lam", type=_finite_float, default=3.0, help="Eq. 7 sigma weight")
     p_size.add_argument("--objective", choices=["cost", "yield"], default="cost",
                         help="minimize the weighted cost (Eq. 7) or the clock "
                              "period achieving --target-yield")
-    p_size.add_argument("--target-yield", type=float, default=0.99,
+    p_size.add_argument("--target-yield", type=_finite_float, default=0.99,
                         help="parametric timing-yield target for "
                              "--objective yield (in [0.5, 1))")
-    p_size.add_argument("--max-area-ratio", type=float, default=None,
+    p_size.add_argument("--max-area-ratio", type=_finite_float, default=None,
                         help="reject sizings whose area exceeds this multiple "
                              "of the starting area (>= 1)")
     p_size.add_argument("--pdf-samples", type=int, default=13,
@@ -741,12 +761,12 @@ def build_parser() -> argparse.ArgumentParser:
              "probabilities, slack pdfs)",
     )
     p_report.add_argument("circuit")
-    p_report.add_argument("--lam", type=float, default=3.0,
+    p_report.add_argument("--lam", type=_finite_float, default=3.0,
                           help="sigma weight used for the default clock "
                                "period and output ranking")
     p_report.add_argument("--top-k", type=int, default=5,
                           help="number of statistical paths to extract")
-    p_report.add_argument("--period", type=float, default=None,
+    p_report.add_argument("--period", type=_finite_float, default=None,
                           help="clock period (ps) anchoring the slack pdfs; "
                                "defaults to the worst weighted output cost")
     p_report.add_argument("--baseline", action="store_true",
@@ -784,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table1", help="regenerate Table 1 rows")
     p_table.add_argument("circuits", nargs="*", help="circuit names (default: small subset)")
-    p_table.add_argument("--lam", type=float, nargs="+", default=[3.0, 9.0])
+    p_table.add_argument("--lam", type=_finite_float, nargs="+", default=[3.0, 9.0])
     p_table.add_argument("--max-iterations", type=int, default=None,
                          help="cap the sizer's outer-loop passes per cell")
     _add_common_options(p_table)
@@ -797,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("circuits", nargs="*",
                          help="circuit names (default: small subset; "
                               "--quick shrinks it further)")
-    p_sweep.add_argument("--lam", type=float, nargs="+", default=[3.0, 9.0])
+    p_sweep.add_argument("--lam", type=_finite_float, nargs="+", default=[3.0, 9.0])
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes (1 = serial, in-process)")
     p_sweep.add_argument("--out", default="sweep-results", metavar="DIR",
@@ -811,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="table1",
                          help="cell type: Table-1 rows, Fig-4 trade-off points, "
                               "yield-objective cells or criticality analyses")
-    p_sweep.add_argument("--target-yield", type=float, nargs="+", default=[0.99],
+    p_sweep.add_argument("--target-yield", type=_finite_float, nargs="+", default=[0.99],
                          help="target yields swept by --kind yield")
     p_sweep.add_argument("--top-k", type=int, default=5,
                          help="statistical paths per --kind criticality cell")
@@ -820,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "MC samples")
     p_sweep.add_argument("--max-iterations", type=int, default=None,
                          help="cap the sizer's outer-loop passes per cell")
-    p_sweep.add_argument("--cell-timeout", type=float, default=None,
+    p_sweep.add_argument("--cell-timeout", type=_finite_float, default=None,
                          metavar="SECONDS",
                          help="kill any attempt exceeding this wall clock "
                               "(requires --jobs > 1; the cell counts as a "
@@ -829,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="extra attempts per cell for transient/timeout/"
                               "crash failures (deterministic errors never "
                               "retry)")
-    p_sweep.add_argument("--retry-backoff", type=float, default=0.5,
+    p_sweep.add_argument("--retry-backoff", type=_finite_float, default=0.5,
                          metavar="SECONDS",
                          help="base delay before retrying; doubles per attempt")
     p_sweep.add_argument("--on-error", choices=["fail", "continue"],
@@ -886,6 +906,12 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (FrontendError, UnknownCircuitError, ConfigError) as exc:
+        # Bad netlist text, an unknown circuit name or an out-of-range
+        # sizer setting: the message already carries the line and column
+        # where the front end has them.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pipe (e.g. `| head`) closed early; not an error.
         import os

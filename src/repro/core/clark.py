@@ -26,7 +26,7 @@ This module provides:
 * :func:`dominance` — the Eq. 5/6 test by itself (also used by the WNSS
   tracer);
 * :func:`clark_max_fast_arrays` — the same fast max evaluated elementwise
-  over NumPy arrays, the kernel of the levelized vectorized FASSTA path;
+  over NumPy arrays, the kernel of FASSTA's levelized forward pass;
 * :func:`variance_sensitivities` — forward finite-difference approximations
   of ``dVar(max)/dmu`` with the ``delta_sigma = c * delta_mu`` coupling of
   §4.4, used to rank inputs when neither dominates.
@@ -192,10 +192,10 @@ def clark_max_fast_arrays(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Elementwise :func:`clark_max_fast` over NumPy arrays.
 
-    Returns ``(mean, variance)`` arrays.  The arithmetic mirrors the scalar
-    path operation-for-operation (same dominance test, same quadratic cdf,
-    same order of additions) so results agree with the scalar engine to the
-    last few ulps; the only non-correctly-rounded primitive is ``exp``.
+    Returns ``(mean, variance)`` arrays.  The arithmetic mirrors
+    :func:`clark_max_fast` operation-for-operation (same dominance test,
+    same quadratic cdf, same order of additions) so results agree with it to
+    the last few ulps; the only non-correctly-rounded primitive is ``exp``.
     """
     mu_a = np.asarray(mu_a, dtype=float)
     sigma_a = np.asarray(sigma_a, dtype=float)

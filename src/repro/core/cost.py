@@ -193,9 +193,7 @@ class CostEvaluator:
             if len(input_rvs) == 1:
                 worst_input = input_rvs[0]
             else:
-                worst_input = NormalDelay.maximum_of(
-                    input_rvs, exact=self.fassta.exact_max
-                )
+                worst_input = NormalDelay.maximum_of(input_rvs)
             arrivals[gate.output] = worst_input + delay_rv
         return arrivals
 

@@ -4,7 +4,12 @@ The outer loop of the optimization runs this engine.  Every gate delay is
 discretized into a small pdf (10-15 samples, following Liou et al. DAC 2001)
 and arrival times are propagated as discrete pdfs using the ``sum``
 (convolution) and ``max`` (pairwise-max reduction) operations of
-:class:`~repro.core.discrete_pdf.DiscretePDF`.
+:class:`~repro.core.discrete_pdf.DiscretePDF`.  :meth:`FULLSSTA.analyze`
+runs them levelized over padded sample arrays (one
+:func:`~repro.core.discrete_pdf.batched_combine` per input position per
+level of the circuit's compiled IR), replaying the canonicalize/compact
+arithmetic of the per-pdf operations; its moments agree with a gate-by-gate
+walk (the reference oracle in ``tests/reference.py``) to ~1e-12.
 
 Besides the output pdf, the engine records the mean and variance at *every*
 node — the paper stores exactly these point values "for use in the fast
@@ -19,16 +24,17 @@ default.
 :class:`IncrementalReanalysis` wraps the engine with a per-net pdf cache:
 after gate resizes it re-propagates only the transitive-fanout cone of the
 changed gates (and of their fanin drivers, whose loads changed) and reuses
-the cached pdfs everywhere else.  Because propagation is deterministic and
-untouched nets keep bitwise-identical pdfs, the incremental result equals a
-from-scratch run exactly — it is a pure wall-clock optimization, which is
+the cached pdfs everywhere else.  It folds gate by gate with the per-pdf
+operations, from its first full build on, so untouched nets keep
+bitwise-identical pdfs and the incremental result equals a from-scratch
+gate-by-gate walk exactly — it is a pure wall-clock optimization, which is
 what makes nesting FULLSSTA inside a sizing loop affordable at scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set
 
 import numpy as np
 
@@ -85,15 +91,6 @@ class FULLSSTA:
         Samples kept per pdf (the paper's "10-15 samples"; default 13).
     correlation_model:
         Optional spatial-correlation overlay (see module docstring).
-    vectorized:
-        When true, full-circuit analyses run the levelized batched-NumPy
-        propagation over padded sample arrays (one
-        :func:`~repro.core.discrete_pdf.batched_combine` per input position
-        per level) instead of the per-gate scalar pdf fold — the same
-        treatment :class:`~repro.core.fassta.FASSTA` received for moments.
-        Both paths perform the same canonicalize/compact arithmetic, so
-        their moments agree to ~1e-12 (pinned on every registry circuit by
-        ``tests/core/test_fullssta_vectorized.py``).
     worst_key:
         Ranking criterion used to report :attr:`FullSstaResult.worst_output`.
         Defaults to the raw mean (a ``lambda = 0`` objective); the sizer
@@ -107,7 +104,6 @@ class FULLSSTA:
         variation_model: VariationModel,
         num_samples: int = DEFAULT_SAMPLES,
         correlation_model: Optional[SpatialCorrelationModel] = None,
-        vectorized: bool = False,
         worst_key: Optional[Callable[[NormalDelay], float]] = None,
     ) -> None:
         if num_samples < 3:
@@ -116,7 +112,6 @@ class FULLSSTA:
         self.variation_model = variation_model
         self.num_samples = num_samples
         self.correlation_model = correlation_model
-        self.vectorized = vectorized
         self.worst_key = worst_key
 
     # ------------------------------------------------------------------
@@ -139,20 +134,10 @@ class FULLSSTA:
         map); unknown names raise ``KeyError`` instead of silently timing as
         zero.
         """
-        if self.vectorized:
-            METRICS.counter("fullssta.runs.levelized")
-            with span("fullssta.analyze", path="levelized") as sp:
-                arrivals, gate_delay_moments = self._propagate_vectorized(
-                    circuit, boundary_arrivals
-                )
-                sp.set(gates=len(gate_delay_moments))
-        else:
-            METRICS.counter("fullssta.runs.scalar")
-            with span("fullssta.analyze", path="scalar") as sp:
-                arrivals, gate_delay_moments = self._propagate_scalar(
-                    circuit, boundary_arrivals
-                )
-                sp.set(gates=len(gate_delay_moments))
+        METRICS.counter("fullssta.runs")
+        with span("fullssta.analyze") as sp:
+            arrivals, gate_delay_moments = self._propagate(circuit, boundary_arrivals)
+            sp.set(gates=len(gate_delay_moments))
         arrival_moments = {
             net: NormalDelay(pdf.mean(), pdf.std()) for net, pdf in arrivals.items()
         }
@@ -161,36 +146,7 @@ class FULLSSTA:
         )
 
     # ------------------------------------------------------------------
-    def _propagate_scalar(
-        self,
-        circuit: Circuit,
-        boundary_arrivals: Optional[Mapping[str, DiscretePDF]],
-    ) -> "tuple[Dict[str, DiscretePDF], Dict[str, NormalDelay]]":
-        arrivals: Dict[str, DiscretePDF] = {}
-        if boundary_arrivals:
-            arrivals.update(boundary_arrivals)
-        for net in circuit.primary_inputs:
-            arrivals.setdefault(net, DiscretePDF.point(0.0))
-
-        gate_delay_moments: Dict[str, NormalDelay] = {}
-        for gate in circuit:
-            dist = self.variation_model.gate_distribution(
-                circuit, gate, self.delay_model
-            )
-            gate_delay_moments[gate.name] = NormalDelay(dist.mean, dist.sigma)
-            delay_pdf = DiscretePDF.from_normal(dist.mean, dist.sigma, self.num_samples)
-            input_pdfs = [
-                arrivals.get(net, DiscretePDF.point(0.0)) for net in gate.inputs
-            ]
-            if len(input_pdfs) == 1:
-                worst_input = input_pdfs[0]
-            else:
-                worst_input = DiscretePDF.maximum_of(input_pdfs, self.num_samples)
-            arrivals[gate.output] = worst_input.add(delay_pdf, self.num_samples)
-        return arrivals, gate_delay_moments
-
-    # ------------------------------------------------------------------
-    def _propagate_vectorized(
+    def _propagate(
         self,
         circuit: Circuit,
         boundary_arrivals: Optional[Mapping[str, DiscretePDF]],
@@ -200,15 +156,16 @@ class FULLSSTA:
         Every net owns one row of the ``values``/``probs`` state arrays
         (padding convention of :mod:`repro.core.discrete_pdf`); each level
         folds its gates' input rows pairwise with masked
-        :func:`batched_combine` calls — the identical fold order the scalar
-        path uses — then convolves the fold with the level's batched gate
-        delay pdfs and scatters the rows to the output nets.
+        :func:`batched_combine` calls — the left-to-right fold order of
+        :meth:`DiscretePDF.maximum_of` — then convolves the fold with the
+        level's batched gate delay pdfs and scatters the rows to the output
+        nets.
         """
         plan = circuit.compiled()
 
-        # Boundary pdfs may carry more samples than the engine budget; the
-        # scalar path folds them at full width (only the *results* are
-        # compacted), so the state arrays are sized for the widest row.
+        # Boundary pdfs may carry more samples than the engine budget; they
+        # are folded at full width (only the *results* are compacted), so
+        # the state arrays are sized for the widest row.
         extra_boundary: Dict[str, DiscretePDF] = {}
         known_boundary: Dict[str, DiscretePDF] = {}
         boundary_nets: Set[str] = set()
@@ -219,7 +176,7 @@ class FULLSSTA:
                     boundary_nets.add(net)
                 else:
                     # Net unknown to this circuit: keep it visible in the
-                    # result map, exactly like the scalar path does.
+                    # result map all the same.
                     extra_boundary[net] = pdf
         num_samples = self.num_samples
         width = max(
@@ -267,7 +224,7 @@ class FULLSSTA:
 
             # Left-to-right pairwise fold over input positions, masked so a
             # gate with fewer inputs keeps its running max untouched — the
-            # same fold order as DiscretePDF.maximum_of in the scalar path.
+            # same fold order as DiscretePDF.maximum_of.
             # The running rows start at the state width (wide when boundary
             # pdfs exceed the budget); combine results are padded back to it
             # so masked-out rows merge shape-compatibly.
@@ -322,7 +279,7 @@ class FULLSSTA:
     ) -> FullSstaResult:
         """Assemble a :class:`FullSstaResult` from propagated per-net state.
 
-        Shared by the from-scratch path and :class:`IncrementalReanalysis`
+        Shared by :meth:`analyze` and :class:`IncrementalReanalysis`
         so the output max, correlation inflation and worst-output ranking
         are computed identically in both.
         """
@@ -412,12 +369,14 @@ class IncrementalReanalysis:
     resize via ``set_size`` (the cancelled pair then costs nothing).  This
     is what makes the sizer's accept/reject trial loop cheap.
 
-    Results are exactly equal to a from-scratch :meth:`FULLSSTA.analyze`
-    (same arithmetic on identical inputs), so callers can switch between the
-    two freely.  Contract: all persistent resizes must go through
-    ``Circuit.set_size`` (direct ``Gate.size_index`` writes bypass the log);
-    structural edits are detected via ``structure_version`` and trigger a
-    full rebuild automatically.
+    Every build, the first included, runs the same gate-by-gate cone fold,
+    so results are bitwise-equal to a from-scratch gate-by-gate walk and
+    agree with the levelized :meth:`FULLSSTA.analyze` to ~1e-12.  Bitwise
+    stability is what the wavefront cut-off above relies on.  Contract: all
+    persistent resizes must go through ``Circuit.set_size`` (direct
+    ``Gate.size_index`` writes bypass the log); structural edits are
+    detected via ``structure_version`` and trigger a full rebuild
+    automatically.
     """
 
     def __init__(self, engine: FULLSSTA, circuit: Circuit) -> None:
@@ -556,32 +515,53 @@ class IncrementalReanalysis:
 
     # ------------------------------------------------------------------
     def _full_rebuild(self) -> FullSstaResult:
+        """Time every gate with the cone fold, starting from the inputs.
+
+        Primary inputs hold point pdfs at 0; every gate is dirty and the
+        cone is the whole (topologically ordered) gate range, so the fold
+        visits each gate once in order.
+        """
         circuit = self.circuit
         self._cursor = circuit.size_change_cursor
         self._structure_version = circuit.structure_version
-        result = self.engine.analyze(circuit)
-        self._arrival_pdfs = dict(result.arrival_pdfs)
-        self._arrival_moments = dict(result.arrival_moments)
-        self._gate_delay_moments = dict(result.gate_delay_moments)
+        point_zero = DiscretePDF.point(0.0)
+        self._arrival_pdfs = {net: point_zero for net in circuit.primary_inputs}
+        self._arrival_moments = {
+            net: NormalDelay(point_zero.mean(), point_zero.std())
+            for net in circuit.primary_inputs
+        }
+        self._gate_delay_moments = {}
         self._gate_delay_pdfs = {}
         self._cached_sizes = circuit.sizes()
+        plan = circuit.compiled()
+        self._apply_delta(
+            self._compute_delta(set(plan.gate_names), cone=range(plan.num_gates))
+        )
         self.full_runs += 1
-        self.gates_retimed += circuit.num_gates()
         METRICS.counter("incremental.full_runs")
-        return result
+        return self.engine._build_result(
+            circuit,
+            dict(self._arrival_pdfs),
+            dict(self._arrival_moments),
+            dict(self._gate_delay_moments),
+            outputs=None,
+        )
 
     # ------------------------------------------------------------------
-    def _compute_delta(self, dirty_delay: Set[str]) -> "_PendingDelta":
+    def _compute_delta(
+        self, dirty_delay: Set[str], cone: Optional[Iterable[int]] = None
+    ) -> "_PendingDelta":
         """Recompute the cone of ``dirty_delay`` gates into an overlay.
 
         Candidate gates come from the compiled IR's fanout CSR: the dirty
-        gates plus their transitive fanout, as a topologically sorted
-        index range — gates outside that cone can never need recomputation,
-        so the sweep is O(cone) instead of a full-circuit scan.  Within the
-        cone a gate is recomputed when its own delay is dirty or any of its
-        input nets changed; its output is marked changed only when the new
-        pdf differs from the cached one, so the wavefront dies out as soon
-        as the numbers reconverge.  The cache itself is not touched.
+        gates plus their transitive fanout, as a topologically sorted index
+        range — gates outside that cone can never need recomputation, so the
+        sweep is O(cone) instead of a full-circuit scan.  A caller that
+        already knows the cone (the full rebuild) passes it instead.  Within
+        the cone a gate is recomputed when its own delay is dirty or any of
+        its input nets changed; its output is marked changed only when the
+        new pdf differs from the cached one, so the wavefront dies out as
+        soon as the numbers reconverge.  The cache itself is not touched.
         """
         engine = self.engine
         circuit = self.circuit
@@ -594,11 +574,13 @@ class IncrementalReanalysis:
         point_zero = DiscretePDF.point(0.0)
 
         plan = circuit.compiled()
-        cone = plan.fanout_cone(plan.gate_index[name] for name in dirty_delay)
-        # The per-resize dirty-cone size is the quantity that makes (or
-        # breaks) the incremental win: its distribution is the headline
-        # observability metric of this layer.
-        METRICS.histogram("incremental.dirty_cone_gates", len(cone))
+        if cone is None:
+            dirty_cone = plan.fanout_cone(plan.gate_index[name] for name in dirty_delay)
+            # The per-resize dirty-cone size is the quantity that makes (or
+            # breaks) the incremental win: its distribution is the headline
+            # observability metric of this layer.
+            METRICS.histogram("incremental.dirty_cone_gates", len(dirty_cone))
+            cone = dirty_cone
         for gid in cone:
             gate = circuit.gate(plan.gate_names[gid])
             recompute = gate.name in dirty_delay or any(

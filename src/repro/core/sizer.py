@@ -38,6 +38,7 @@ changes the optimization trajectory):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -53,15 +54,22 @@ from repro.obs import METRICS, clock, span
 from repro.variation.model import VariationModel
 
 
+class ConfigError(ValueError):
+    """A :class:`SizerConfig` field outside its valid range."""
+
+
 @dataclass
 class SizerConfig:
     """Tuning knobs of the StatisticalGreedy optimizer.
 
     Parameters mirror the paper's description; defaults reproduce its setup.
-    ``incremental_reanalysis`` and ``vectorized_fassta`` select the fast
-    evaluation pipeline — both are exactness-preserving and on by default;
-    turning them off yields the original from-scratch engines (used as the
-    reference in ``benchmarks/bench_incremental.py``).
+    ``incremental_reanalysis`` (on by default) runs the outer-loop FULLSSTA
+    behind :class:`~repro.core.fullssta.IncrementalReanalysis`; turning it
+    off re-runs :meth:`FULLSSTA.analyze <repro.core.fullssta.FULLSSTA.analyze>`
+    from scratch after every resize, the reference the benchmarks time the
+    incremental pipeline against.  When a pass's bulk commit does not
+    improve the objective, its resizes are retried one at a time.  Every
+    float setting must be finite.
 
     ``objective`` selects what the optimizer minimizes:
 
@@ -94,35 +102,44 @@ class SizerConfig:
     sigma_target: Optional[float] = None
     pdf_samples: int = 13
     freeze_no_gain_gates: bool = False
-    incremental_fallback: bool = True
     max_outputs_per_pass: int = 6
     patience: int = 4
     incremental_reanalysis: bool = True
-    vectorized_fassta: bool = True
     objective: str = "cost"
     target_yield: float = 0.99
     max_area_ratio: Optional[float] = None
     criticality_threshold: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "lam",
+            "min_relative_gain",
+            "sigma_target",
+            "target_yield",
+            "max_area_ratio",
+            "criticality_threshold",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+            raise ConfigError("lam must be non-negative")
         if self.subcircuit_depth < 0:
-            raise ValueError("subcircuit_depth must be non-negative")
+            raise ConfigError("subcircuit_depth must be non-negative")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ConfigError("max_iterations must be >= 1")
         if self.min_relative_gain < 0:
-            raise ValueError("min_relative_gain must be non-negative")
+            raise ConfigError("min_relative_gain must be non-negative")
         if self.objective not in ("cost", "yield"):
-            raise ValueError(
+            raise ConfigError(
                 f"objective must be 'cost' or 'yield', got {self.objective!r}"
             )
         if self.objective == "yield" and not 0.5 <= self.target_yield < 1.0:
-            raise ValueError("target_yield must be in [0.5, 1)")
+            raise ConfigError("target_yield must be in [0.5, 1)")
         if self.max_area_ratio is not None and self.max_area_ratio < 1.0:
-            raise ValueError("max_area_ratio must be >= 1 (relative to start)")
+            raise ConfigError("max_area_ratio must be >= 1 (relative to start)")
         if not 0.0 <= self.criticality_threshold < 1.0:
-            raise ValueError("criticality_threshold must be in [0, 1)")
+            raise ConfigError("criticality_threshold must be in [0, 1)")
 
 
 @dataclass
@@ -221,12 +238,7 @@ class StatisticalGreedySizer:
             num_samples=self.config.pdf_samples,
             worst_key=self.cost.of,
         )
-        self.fassta = FASSTA(
-            delay_model,
-            variation_model,
-            vectorized=self.config.vectorized_fassta,
-            worst_key=self.cost.of,
-        )
+        self.fassta = FASSTA(delay_model, variation_model, worst_key=self.cost.of)
         self.evaluator = CostEvaluator(self.fassta, self.cost)
         self.tracer = WNSSTracer(
             coupling=variation_model.mean_sigma_coupling, lam=self.cost.lam
@@ -370,7 +382,7 @@ class StatisticalGreedySizer:
             bulk_improved = new_components.better_than(
                 best_components
             ) and self._area_ok(circuit, area_limit)
-            if not bulk_improved and config.incremental_fallback:
+            if not bulk_improved:
                 # Bulk commit did not help (individually good moves can
                 # interact through shared loads, or blow the area budget).
                 # Roll back and retry the scheduled resizes one at a time,

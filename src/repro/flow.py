@@ -267,11 +267,7 @@ def _run_flow_stages(
             runtime_seconds=0.0,
         )
 
-    # The flow's own before/after analyses are standalone full-circuit runs,
-    # so they use the levelized vectorized FULLSSTA path.
-    fullssta = FULLSSTA(
-        delay_model, variation_model, num_samples=config.pdf_samples, vectorized=True
-    )
+    fullssta = FULLSSTA(delay_model, variation_model, num_samples=config.pdf_samples)
     with span("flow.analyze_original"):
         original_full = fullssta.analyze(circuit)
         original_rv = original_full.output_rv

@@ -64,7 +64,7 @@ class LevelBlock:
 
     ``in_slots`` is padded to the level's maximum fanin; ``in_mask`` marks
     the valid pin positions.  Pin order is preserved, so left-to-right folds
-    over the columns reproduce the scalar engines' fold order exactly.
+    over the columns reproduce a gate-by-gate walk's fold order exactly.
     """
 
     level: int

@@ -104,6 +104,16 @@ from repro.variation.model import VariationModel
 #: Cell kinds understood by :func:`evaluate_cell`.
 KINDS = ("table1", "fig4", "yield", "criticality")
 
+#: ``SizerConfig`` fields that were removed after artifacts keyed on them
+#: had been written, each at the one behaviour the sizer still has.  They
+#: stay in the key payload so that every cell key, and with it every
+#: artifact filename, is unchanged: sweeps written before the removal
+#: still resume instead of recomputing every cell.
+RETIRED_SIZER_FIELDS: Dict[str, Any] = {
+    "incremental_fallback": True,
+    "vectorized_fassta": True,
+}
+
 
 def config_with_lam(config: Optional[SizerConfig], lam: float) -> SizerConfig:
     """The sizer configuration for one sweep cell.
@@ -185,9 +195,10 @@ class CellSpec:
 
     def payload(self) -> Dict[str, Any]:
         """Canonical JSON-able description of every input shaping the result."""
-        sizer_config = dataclasses.asdict(
-            config_with_lam(self.sizer_config, self.lam)
-        )
+        sizer_config = {
+            **RETIRED_SIZER_FIELDS,
+            **dataclasses.asdict(config_with_lam(self.sizer_config, self.lam)),
+        }
         sizer_config["lam"] = float(sizer_config["lam"])
         return {
             "kind": self.kind,
@@ -534,7 +545,7 @@ def _evaluate_criticality(spec: CellSpec) -> Dict[str, Any]:
     circuit = build_benchmark(spec.circuit)
     _, delay_model, variation_model = spec.substrates.build()
     MeanDelaySizer(delay_model).optimize(circuit)
-    analysis = FASSTA(delay_model, variation_model, vectorized=True).analyze(circuit)
+    analysis = FASSTA(delay_model, variation_model).analyze(circuit)
     crit = CriticalityAnalyzer(circuit).analyze(analysis.arrivals)
     top_k = spec.top_k or 5
     paths = extract_top_paths(circuit, crit, analysis.arrivals, k=top_k)

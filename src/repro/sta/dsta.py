@@ -7,11 +7,11 @@ no constraint is given); slack = required - arrival.  The critical path is
 the chain of gates with the smallest slack — the classic WNS path the paper
 generalises into the WNSS path.
 
-``DeterministicSTA(vectorized=True)`` runs the forward pass as a levelized
-array program over the circuit's compiled IR (:meth:`Circuit.compiled()
-<repro.netlist.circuit.Circuit.compiled>`): one ``np.maximum`` fold per
-input position per logic level.  ``max`` over floats and float addition are
-exact, so the vectorized arrivals are bit-identical to the scalar walk.
+The forward pass is a levelized array program over the circuit's compiled
+IR (:meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`):
+one ``np.maximum`` fold per input position per logic level.  ``max`` over
+floats and float addition are exact, so the arrivals are bit-identical to a
+gate-by-gate walk (the reference oracle in ``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -56,16 +56,10 @@ class DeterministicSTA:
     ----------
     delay_model:
         Library delay model giving nominal gate delays under load.
-    vectorized:
-        When true, the forward pass runs levelized over the compiled IR
-        instead of gate by gate.  Results are bit-identical.
     """
 
-    def __init__(
-        self, delay_model: BaseDelayModel, vectorized: bool = False
-    ) -> None:
+    def __init__(self, delay_model: BaseDelayModel) -> None:
         self.delay_model = delay_model
-        self.vectorized = vectorized
 
     # ------------------------------------------------------------------
     def arrival_times(self, circuit: Circuit) -> Tuple[Dict[str, float], Dict[str, float]]:
@@ -75,54 +69,35 @@ class DeterministicSTA:
         net and the nominal delay of every gate.  Primary inputs arrive at
         time 0.
         """
-        if self.vectorized:
-            METRICS.counter("dsta.runs.levelized")
-            with span("dsta.arrival_times", path="levelized") as sp:
-                arrival, gate_delays = self._arrival_times_vectorized(circuit)
-                sp.set(gates=len(gate_delays))
-            return arrival, gate_delays
-        METRICS.counter("dsta.runs.scalar")
-        with span("dsta.arrival_times", path="scalar") as sp:
-            arrival = {net: 0.0 for net in circuit.primary_inputs}
-            gate_delays: Dict[str, float] = {}
-            for gate in circuit:
-                delay = self.delay_model.gate_delay(circuit, gate)
-                gate_delays[gate.name] = delay
-                input_arrival = max(arrival.get(net, 0.0) for net in gate.inputs)
-                arrival[gate.output] = input_arrival + delay
+        METRICS.counter("dsta.runs")
+        with span("dsta.arrival_times") as sp:
+            arrival, gate_delays = self._propagate(circuit)
             sp.set(gates=len(gate_delays))
         return arrival, gate_delays
 
     # ------------------------------------------------------------------
-    def _arrival_times_vectorized(
+    def _propagate(
         self, circuit: Circuit
     ) -> Tuple[Dict[str, float], Dict[str, float]]:
         plan = circuit.compiled()
-        arr = np.zeros(plan.num_nets)
-        gate_delays: Dict[str, float] = {}
-        for block in plan.levels:
-            delays = np.empty(len(block.names))
-            for row, name in enumerate(block.names):
-                delay = self.delay_model.gate_delay(circuit, circuit.gate(name))
-                gate_delays[name] = delay
-                delays[row] = delay
-            in_ids, in_mask = block.in_slots, block.in_mask
-            worst = arr[in_ids[:, 0]]
-            for col in range(1, in_ids.shape[1]):
-                mask = in_mask[:, col]
-                worst = np.where(
-                    mask, np.maximum(worst, arr[in_ids[:, col]]), worst
-                )
-            arr[block.out_slots] = worst + delays
-        # Same visibility as the scalar walk: primary inputs and gate
-        # outputs; floating nets stay out of the map (they read as 0.0
-        # through ``.get`` just like the scalar path).
-        arrival = {
-            net: float(arr[idx])
-            for net, idx in plan.net_index.items()
-            if net not in plan.floating
-        }
-        return arrival, gate_delays
+        gate_delay = self.delay_model.gate_delay
+        delay_list = [gate_delay(circuit, circuit.gate(name)) for name in plan.gate_names]
+        delays = np.array(delay_list)
+        # One extra slot parks -inf under the fanin matrix's padding, so a
+        # whole level folds with one gather and one row-wise max:
+        # ``max(x, -inf) == x`` exactly.
+        arr = np.zeros(plan.num_nets + 1)
+        arr[plan.num_nets] = -np.inf
+        offsets = plan.level_offsets.tolist()
+        for start, stop in zip(offsets[:-1], offsets[1:], strict=True):
+            worst = arr[plan.fanin_matrix[start:stop]].max(axis=1)
+            arr[plan.gate_output_slot[start:stop]] = worst + delays[start:stop]
+        # Primary inputs and gate outputs fill the leading slots; floating
+        # nets (the tail) stay out of the map and read as 0.0 through
+        # ``.get``.
+        visible = plan.num_pis + plan.num_gates
+        arrival = dict(zip(plan.net_names[:visible], arr[:visible].tolist(), strict=True))
+        return arrival, dict(zip(plan.gate_names, delay_list, strict=True))
 
     def analyze(
         self, circuit: Circuit, clock_period: Optional[float] = None

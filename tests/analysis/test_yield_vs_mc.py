@@ -57,7 +57,7 @@ class TestIndependentVariation:
         self, name, delay_model, variation_model, mc_cache
     ):
         circuit = build_benchmark(name)
-        pdf = FULLSSTA(delay_model, variation_model, vectorized=True).analyze(
+        pdf = FULLSSTA(delay_model, variation_model).analyze(
             circuit
         ).output_pdf
         mc = _mc(name, delay_model, variation_model, None, mc_cache)
@@ -73,7 +73,7 @@ class TestIndependentVariation:
         # The guarantee the yield sizer relies on: at the pdf's own target
         # period the empirical (MC) yield reaches (close to) the target.
         circuit = build_benchmark(name)
-        pdf = FULLSSTA(delay_model, variation_model, vectorized=True).analyze(
+        pdf = FULLSSTA(delay_model, variation_model).analyze(
             circuit
         ).output_pdf
         mc = _mc(name, delay_model, variation_model, None, mc_cache)

@@ -10,8 +10,16 @@ sizes.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+# Tests import the reference oracles as ``tests.reference``; keep the
+# repository root importable when pytest is started without ``python -m``.
+_REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 # Verify every fresh IR lowering against its documented invariants for the
 # whole suite (see Circuit.compiled / repro.verify.ir_checks).  Cheap
@@ -26,6 +34,12 @@ from repro.library.delay_model import LinearRCDelayModel, LookupTableDelayModel
 from repro.library.synthetic90nm import make_synthetic_90nm_library
 from repro.netlist.circuit import Circuit
 from repro.variation.model import VariationModel
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (deselect with -m 'not slow')"
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,9 @@
-"""Exactness pinning for the levelized vectorized FULLSSTA path.
+"""Exactness pinning for FULLSSTA's levelized batched propagation.
 
-The batched discrete-pdf propagation replays the scalar engine's
+The batched discrete-pdf propagation replays the per-pdf
 canonicalize/compact arithmetic over padded arrays, so its per-net moments
-must agree with the scalar path to ~1e-9 on every registry circuit — the
-same contract the incremental-reanalysis cache carries.
+must agree with the gate-by-gate reference walk (``tests/reference.py``) to
+~1e-9 on every registry circuit.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro.core.discrete_pdf import (
     batched_from_normal,
 )
 from repro.core.fullssta import FULLSSTA
+from tests.reference import ReferenceFULLSSTA
 
 TOL = 1e-9
 
@@ -105,23 +106,21 @@ class TestVectorizedEngine:
     @pytest.mark.parametrize("name", [*BENCHMARK_NAMES, "c17"])
     def test_matches_scalar_on_registry_circuit(self, name, delay_model, variation_model):
         circuit = build_benchmark(name)
-        scalar = FULLSSTA(delay_model, variation_model).analyze(circuit)
-        vectorized = FULLSSTA(delay_model, variation_model, vectorized=True).analyze(
-            circuit
-        )
-        assert_fullssta_results_close(scalar, vectorized)
+        reference = ReferenceFULLSSTA(delay_model, variation_model).analyze(circuit)
+        levelized = FULLSSTA(delay_model, variation_model).analyze(circuit)
+        assert_fullssta_results_close(reference, levelized)
 
     def test_matches_scalar_after_resizes(self, delay_model, variation_model):
         circuit = build_benchmark("alu1")
-        scalar_engine = FULLSSTA(delay_model, variation_model)
-        vector_engine = FULLSSTA(delay_model, variation_model, vectorized=True)
+        reference_engine = ReferenceFULLSSTA(delay_model, variation_model)
+        engine = FULLSSTA(delay_model, variation_model)
         rng = np.random.default_rng(3)
         names = list(circuit.gates)
         for _ in range(3):
             for gate in rng.choice(names, size=5, replace=False):
                 circuit.set_size(str(gate), int(rng.integers(0, 7)))
             assert_fullssta_results_close(
-                scalar_engine.analyze(circuit), vector_engine.analyze(circuit)
+                reference_engine.analyze(circuit), engine.analyze(circuit)
             )
 
     def test_boundary_arrivals_and_unknown_nets(self, delay_model, variation_model, chain_circuit):
@@ -129,33 +128,33 @@ class TestVectorizedEngine:
             "in": DiscretePDF.from_normal(120.0, 9.0, 13),
             "elsewhere": DiscretePDF.point(42.0),  # unknown to the circuit
         }
-        scalar = FULLSSTA(delay_model, variation_model).analyze(
+        reference = ReferenceFULLSSTA(delay_model, variation_model).analyze(
             chain_circuit, boundary_arrivals=boundary
         )
-        vectorized = FULLSSTA(delay_model, variation_model, vectorized=True).analyze(
+        levelized = FULLSSTA(delay_model, variation_model).analyze(
             chain_circuit, boundary_arrivals=boundary
         )
-        assert_fullssta_results_close(scalar, vectorized)
-        assert vectorized.arrival_pdfs["elsewhere"].mean() == 42.0
+        assert_fullssta_results_close(reference, levelized)
+        assert levelized.arrival_pdfs["elsewhere"].mean() == 42.0
 
     def test_boundary_pdfs_wider_than_budget(
         self, delay_model, variation_model, chain_circuit
     ):
-        # The scalar path folds over-budget boundary pdfs at full width and
-        # only compacts the results; the vectorized path must match, not
+        # The reference walk folds over-budget boundary pdfs at full width
+        # and only compacts the results; the levelized pass must match, not
         # pre-compact the boundary.
         boundary = {"in": DiscretePDF.from_normal(150.0, 12.0, 29)}
-        scalar = FULLSSTA(delay_model, variation_model).analyze(
+        reference = ReferenceFULLSSTA(delay_model, variation_model).analyze(
             chain_circuit, boundary_arrivals=boundary
         )
-        vectorized = FULLSSTA(delay_model, variation_model, vectorized=True).analyze(
+        levelized = FULLSSTA(delay_model, variation_model).analyze(
             chain_circuit, boundary_arrivals=boundary
         )
-        assert_fullssta_results_close(scalar, vectorized)
-        assert vectorized.arrival_pdfs["in"].num_samples == 29
+        assert_fullssta_results_close(reference, levelized)
+        assert levelized.arrival_pdfs["in"].num_samples == 29
 
     def test_plan_reuse_and_invalidation(self, delay_model, variation_model, c17_circuit):
-        engine = FULLSSTA(delay_model, variation_model, vectorized=True)
+        engine = FULLSSTA(delay_model, variation_model)
         engine.analyze(c17_circuit)
         plan = c17_circuit.compiled()
         engine.analyze(c17_circuit)
@@ -166,7 +165,7 @@ class TestVectorizedEngine:
         assert c17_circuit.compiled() is not plan  # structural edit: relowered
 
     def test_selected_outputs_validate(self, delay_model, variation_model, c17_circuit):
-        engine = FULLSSTA(delay_model, variation_model, vectorized=True)
+        engine = FULLSSTA(delay_model, variation_model)
         result = engine.analyze(c17_circuit, outputs=["N22"])
         assert result.worst_output == "N22"
         with pytest.raises(KeyError):

@@ -1,9 +1,10 @@
-"""Equivalence tests for the incremental/vectorized evaluation pipeline.
+"""Equivalence tests for the levelized and incremental evaluation pipeline.
 
 The whole point of the pipeline is that it is *exactness-preserving*: the
-vectorized FASSTA path, the incremental FULLSSTA re-analysis and the sizer's
-caches must reproduce the from-scratch engines' moments (to ~1e-9; in
-practice they agree bitwise) while doing less work.  These tests pin that
+levelized FASSTA pass, the incremental FULLSSTA re-analysis and the sizer's
+caches must reproduce the gate-by-gate reference walks of
+``tests/reference.py`` (to ~1e-9 for the levelized passes, bitwise for the
+incremental re-analysis) while doing less work.  These tests pin that
 contract across registry circuits and randomized resize sequences.
 """
 
@@ -16,6 +17,7 @@ from repro.core.fullssta import FULLSSTA, IncrementalReanalysis
 from repro.core.sizer import SizerConfig, StatisticalGreedySizer
 from repro.core.subcircuit import SubcircuitCache, extract_subcircuit
 from repro.netlist.circuit import Circuit
+from tests.reference import ReferenceFASSTA, ReferenceFULLSSTA
 
 TOL = 1e-9
 
@@ -37,71 +39,86 @@ def assert_results_close(reference, candidate, circuit, tol=TOL):
     assert candidate.worst_output == reference.worst_output
 
 
+def assert_bitwise_equal(reference, candidate, circuit):
+    """Every per-net pdf, every moment and the output pdf agree bit for bit."""
+    assert set(candidate.arrival_pdfs) == set(reference.arrival_pdfs)
+    for net, ref_pdf in reference.arrival_pdfs.items():
+        cand_pdf = candidate.arrival_pdfs[net]
+        assert np.array_equal(cand_pdf.values, ref_pdf.values), net
+        assert np.array_equal(cand_pdf.probabilities, ref_pdf.probabilities), net
+    assert candidate.arrival_moments == reference.arrival_moments
+    assert candidate.gate_delay_moments == reference.gate_delay_moments
+    assert np.array_equal(candidate.output_pdf.values, reference.output_pdf.values)
+    assert_results_close(reference, candidate, circuit, tol=0.0)
+
+
 class TestVectorizedFassta:
     @pytest.mark.parametrize("name", EQUIV_CIRCUITS)
     def test_matches_scalar_on_registry_circuits(self, name, delay_model, variation_model):
         circuit = build_benchmark(name)
-        scalar = FASSTA(delay_model, variation_model).analyze(circuit)
-        vectorized = FASSTA(delay_model, variation_model, vectorized=True).analyze(circuit)
-        assert_results_close(scalar, vectorized, circuit)
+        reference = ReferenceFASSTA(delay_model, variation_model).analyze(circuit)
+        levelized = FASSTA(delay_model, variation_model).analyze(circuit)
+        assert_results_close(reference, levelized, circuit)
 
     def test_matches_scalar_after_random_resizes(self, delay_model, variation_model):
         circuit = build_benchmark("c432")
-        scalar_engine = FASSTA(delay_model, variation_model)
-        vector_engine = FASSTA(delay_model, variation_model, vectorized=True)
+        reference_engine = ReferenceFASSTA(delay_model, variation_model)
+        engine = FASSTA(delay_model, variation_model)
         rng = np.random.default_rng(7)
         names = list(circuit.gates)
         for _ in range(5):
             for gate in rng.choice(names, size=4, replace=False):
                 circuit.set_size(str(gate), int(rng.integers(0, 7)))
             assert_results_close(
-                scalar_engine.analyze(circuit), vector_engine.analyze(circuit), circuit
+                reference_engine.analyze(circuit), engine.analyze(circuit), circuit
             )
 
     def test_boundary_arrivals_respected(self, delay_model, variation_model, chain_circuit):
         from repro.core.rv import NormalDelay
 
         boundary = {"in": NormalDelay(42.0, 5.0)}
-        scalar = FASSTA(delay_model, variation_model).analyze(
+        reference = ReferenceFASSTA(delay_model, variation_model).analyze(
             chain_circuit, boundary_arrivals=boundary
         )
-        vectorized = FASSTA(delay_model, variation_model, vectorized=True).analyze(
+        levelized = FASSTA(delay_model, variation_model).analyze(
             chain_circuit, boundary_arrivals=boundary
         )
-        assert_results_close(scalar, vectorized, chain_circuit)
+        assert_results_close(reference, levelized, chain_circuit)
 
     def test_plan_rebuilt_after_structural_change(self, delay_model, variation_model):
         circuit = build_benchmark("c17")
-        engine = FASSTA(delay_model, variation_model, vectorized=True)
+        engine = FASSTA(delay_model, variation_model)
         engine.analyze(circuit)
         circuit.add("extra", "INV", ["N22"], "n_extra")
         circuit.add_primary_output("n_extra")
-        fresh = FASSTA(delay_model, variation_model).analyze(circuit)
+        fresh = ReferenceFASSTA(delay_model, variation_model).analyze(circuit)
         assert_results_close(fresh, engine.analyze(circuit), circuit)
-
-    def test_exact_max_falls_back_to_scalar_path(self, delay_model, variation_model, c17_circuit):
-        exact_scalar = FASSTA(delay_model, variation_model, exact_max=True)
-        exact_vector = FASSTA(
-            delay_model, variation_model, exact_max=True, vectorized=True
-        )
-        assert_results_close(
-            exact_scalar.analyze(c17_circuit), exact_vector.analyze(c17_circuit), c17_circuit
-        )
 
 
 class TestIncrementalReanalysis:
     @pytest.mark.parametrize("name", EQUIV_CIRCUITS)
     def test_random_resize_sequences_match_scratch(self, name, delay_model, variation_model):
+        # The incremental cache folds gate by gate from its first build on,
+        # so it must equal the reference walk to the last bit (tol=0.0),
+        # through analyze and preview alike: the wavefront cut-off compares
+        # pdfs bitwise and would otherwise stop on stale values.
         circuit = build_benchmark(name)
-        engine = FULLSSTA(delay_model, variation_model)
-        incremental = IncrementalReanalysis(engine, circuit)
-        incremental.analyze()
+        reference = ReferenceFULLSSTA(delay_model, variation_model)
+        incremental = IncrementalReanalysis(
+            FULLSSTA(delay_model, variation_model), circuit
+        )
+        assert_bitwise_equal(reference.analyze(circuit), incremental.analyze(), circuit)
         rng = np.random.default_rng(sum(map(ord, name)))
         names = list(circuit.gates)
-        for _ in range(4):
+        for step in range(4):
             for gate in rng.choice(names, size=3, replace=False):
                 circuit.set_size(str(gate), int(rng.integers(0, 7)))
-            assert_results_close(incremental.analyze(), engine.analyze(circuit), circuit)
+            if step % 2:
+                result = incremental.analyze()
+            else:
+                result = incremental.preview()
+                assert incremental.commit_preview()
+            assert_bitwise_equal(reference.analyze(circuit), result, circuit)
 
     def test_resize_and_revert_matches_original(self, delay_model, variation_model):
         circuit = build_benchmark("c432")
@@ -145,14 +162,16 @@ class TestIncrementalReanalysis:
 
     def test_structural_change_triggers_full_rebuild(self, delay_model, variation_model):
         circuit = build_benchmark("c17")
-        engine = FULLSSTA(delay_model, variation_model)
-        incremental = IncrementalReanalysis(engine, circuit)
+        incremental = IncrementalReanalysis(
+            FULLSSTA(delay_model, variation_model), circuit
+        )
         incremental.analyze()
         circuit.add("extra", "INV", ["N22"], "n_extra")
         circuit.add_primary_output("n_extra")
         result = incremental.analyze()
         assert incremental.full_runs == 2
-        assert_results_close(engine.analyze(circuit), result, circuit)
+        reference = ReferenceFULLSSTA(delay_model, variation_model).analyze(circuit)
+        assert_results_close(reference, result, circuit)
 
     def test_invalidate_forces_rebuild(self, delay_model, variation_model, c17_circuit):
         incremental = IncrementalReanalysis(
@@ -171,9 +190,7 @@ class TestSizerPipelineEquivalence:
         scratch = StatisticalGreedySizer(
             delay_model,
             variation_model,
-            SizerConfig(
-                incremental_reanalysis=False, vectorized_fassta=False, **config_kwargs
-            ),
+            SizerConfig(incremental_reanalysis=False, **config_kwargs),
         ).optimize(build_benchmark(name))
         fast = StatisticalGreedySizer(
             delay_model, variation_model, SizerConfig(**config_kwargs)
@@ -281,7 +298,8 @@ class TestPreviewProtocol:
         circuit.set_size(gate, 6)
         previewed = incremental.preview()
         assert previewed is not None
-        assert_results_close(engine.analyze(circuit), previewed, circuit)
+        reference = ReferenceFULLSSTA(delay_model, variation_model).analyze(circuit)
+        assert_results_close(reference, previewed, circuit)
         # Reverting discards the trial for free: the next analyze sees a
         # clean circuit and recomputes nothing.
         circuit.set_size(gate, 0)
@@ -303,7 +321,8 @@ class TestPreviewProtocol:
         committed = incremental.analyze()
         assert incremental.gates_retimed == retimed  # nothing left to do
         assert_results_close(previewed, committed, circuit, tol=0.0)
-        assert_results_close(engine.analyze(circuit), committed, circuit)
+        reference = ReferenceFULLSSTA(delay_model, variation_model).analyze(circuit)
+        assert_results_close(reference, committed, circuit)
 
     def test_commit_preview_refused_after_further_resizes(self, delay_model, variation_model):
         circuit = build_benchmark("c17")
@@ -317,7 +336,7 @@ class TestPreviewProtocol:
         assert not incremental.commit_preview()
         # The log-driven path still converges to the right answer.
         assert_results_close(
-            FULLSSTA(delay_model, variation_model).analyze(circuit),
+            ReferenceFULLSSTA(delay_model, variation_model).analyze(circuit),
             incremental.analyze(),
             circuit,
         )
@@ -332,17 +351,20 @@ class TestPreviewProtocol:
 class TestFloatingNetConsistency:
     def test_floating_output_raises_in_both_fassta_paths(self, delay_model, variation_model):
         # A gate input that is neither a primary input nor driven by a gate:
-        # both propagation paths must reject it as an output (it is not a
-        # timeable net), not silently report a zero arrival.
+        # the levelized pass and the reference walk must both reject it as
+        # an output (it is not a timeable net), not silently report a zero
+        # arrival.
+        from repro.core.rv import NormalDelay
+
         circuit = Circuit("floaty", primary_inputs=["a"], primary_outputs=["y"])
         circuit.add("g", "NAND2", ["a", "dangling"], "y")
-        for vectorized in (False, True):
-            engine = FASSTA(delay_model, variation_model, vectorized=vectorized)
+        for engine in (
+            ReferenceFASSTA(delay_model, variation_model),
+            FASSTA(delay_model, variation_model),
+        ):
             with pytest.raises(KeyError, match="dangling"):
                 engine.analyze(circuit, outputs=["dangling"])
-            # With a boundary arrival the net becomes timeable in both paths.
-            from repro.core.rv import NormalDelay
-
+            # With a boundary arrival the net becomes timeable in both.
             result = engine.analyze(
                 circuit,
                 boundary_arrivals={"dangling": NormalDelay(5.0, 1.0)},

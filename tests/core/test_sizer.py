@@ -1,5 +1,7 @@
 """Unit tests for the StatisticalGreedy sizer."""
 
+import math
+
 import pytest
 
 from repro.circuits.adders import ripple_carry_adder
@@ -27,6 +29,18 @@ class TestSizerConfig:
             {"subcircuit_depth": -1},
             {"max_iterations": 0},
             {"min_relative_gain": -1e-3},
+            *(
+                {name: value}
+                for name in (
+                    "lam",
+                    "min_relative_gain",
+                    "sigma_target",
+                    "target_yield",
+                    "max_area_ratio",
+                    "criticality_threshold",
+                )
+                for value in (math.nan, math.inf, -math.inf)
+            ),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -15,7 +15,7 @@ from repro.netlist.circuit import Circuit
 
 
 def _fassta_arrivals(circuit, delay_model, variation_model):
-    return FASSTA(delay_model, variation_model, vectorized=True).analyze(
+    return FASSTA(delay_model, variation_model).analyze(
         circuit
     )
 

@@ -21,7 +21,7 @@ def mc_setup(delay_model, variation_model):
         from repro.circuits.registry import build_benchmark
 
         circuit = build_benchmark(name)
-        res = FASSTA(delay_model, variation_model, vectorized=True).analyze(
+        res = FASSTA(delay_model, variation_model).analyze(
             circuit
         )
         crit = CriticalityAnalyzer(circuit).analyze(res.arrivals)

@@ -11,7 +11,7 @@ from repro.netlist.circuit import Circuit
 
 
 def _analysis(circuit, delay_model, variation_model):
-    return FASSTA(delay_model, variation_model, vectorized=True).analyze(circuit)
+    return FASSTA(delay_model, variation_model).analyze(circuit)
 
 
 class TestStatisticalMin:

@@ -9,6 +9,7 @@ from repro.netlist.circuit import Circuit
 from repro.sta.dsta import DeterministicSTA
 from repro.variation.correlation import SpatialCorrelationModel
 from repro.variation.model import VariationModel
+from tests.reference import reference_mc_samples
 
 
 @pytest.fixture
@@ -122,36 +123,8 @@ class TestUnknownNets:
         assert result.num_samples == 50
 
 
-def _reference_independent_samples(timer, circuit, num_samples, seed):
-    """The historical per-gate dict-propagation independent path."""
-    rng = np.random.default_rng(seed)
-    order = circuit.topological_order()
-    distributions = timer.variation_model.all_gate_distributions(
-        circuit, timer.delay_model
-    )
-    gate_samples = {}
-    for name in order:
-        dist = distributions[name]
-        gate_samples[name] = rng.normal(dist.mean, dist.sigma, num_samples)
-    arrivals = {net: np.zeros(num_samples) for net in circuit.primary_inputs}
-    for name in order:
-        gate = circuit.gate(name)
-        worst = None
-        for net in gate.inputs:
-            arr = arrivals.setdefault(net, np.zeros(num_samples))
-            worst = arr if worst is None else np.maximum(worst, arr)
-        arrivals[gate.output] = worst + gate_samples[name]
-    circuit_delay = None
-    for net in circuit.primary_outputs:
-        arr = arrivals[net]
-        circuit_delay = (
-            arr if circuit_delay is None else np.maximum(circuit_delay, arr)
-        )
-    return circuit_delay
-
-
 class TestLevelizedVectorization:
-    """The levelized IR propagation against the historical per-gate loop.
+    """The levelized IR propagation against the per-gate reference loop.
 
     The generator stream is shared (draws stay in topological order) and
     ``np.maximum``/float addition are exact, so the circuit-delay samples
@@ -163,7 +136,7 @@ class TestLevelizedVectorization:
         from repro.circuits.registry import build_benchmark, c17
 
         circuit = c17() if name == "c17" else build_benchmark(name)
-        reference = _reference_independent_samples(
+        reference = reference_mc_samples(
             timer, circuit, num_samples=300, seed=7
         )
         result = timer.run(circuit, num_samples=300, seed=7)
@@ -171,7 +144,7 @@ class TestLevelizedVectorization:
 
     def test_bit_identical_on_fixtures(self, timer, small_adder, small_alu):
         for circuit in (small_adder, small_alu):
-            reference = _reference_independent_samples(
+            reference = reference_mc_samples(
                 timer, circuit, num_samples=200, seed=1
             )
             result = timer.run(circuit, num_samples=200, seed=1)

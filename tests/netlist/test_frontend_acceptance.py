@@ -72,7 +72,7 @@ class TestBitIdentity:
             assert gate.output == twin.output
 
     def test_dsta_arrivals_match(self, hierarchical, flattened, delay_model):
-        sta = DeterministicSTA(delay_model, vectorized=True)
+        sta = DeterministicSTA(delay_model)
         a = sta.analyze(hierarchical)
         b = sta.analyze(flattened)
         assert a.arrival.keys() == b.arrival.keys()
@@ -82,7 +82,7 @@ class TestBitIdentity:
 
     def test_fassta_moments_match(self, hierarchical, flattened,
                                   delay_model, variation_model):
-        engine = FASSTA(delay_model, variation_model, vectorized=True)
+        engine = FASSTA(delay_model, variation_model)
         a = engine.analyze(hierarchical)
         b = engine.analyze(flattened)
         for po in hierarchical.primary_outputs:

@@ -115,6 +115,16 @@ class TestSpecsAndKeys:
             != base.key()
         )
 
+    def test_key_stable_across_retired_config_fields(self):
+        # Recorded before SizerConfig lost incremental_fallback and
+        # vectorized_fassta: a default cell keeps its key and filename, so
+        # older sweep directories still resume.
+        spec = CellSpec(kind="table1", circuit="c17", lam=3.0)
+        assert spec.key() == (
+            "d377dda19262b87a0a5835297f80098e1648075600504fff1a7cd0bfb97556df"
+        )
+        assert spec.artifact_stem() == "table1__c17__lam3.0__d377dda1"
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             CellSpec(kind="table2", circuit="c17", lam=3.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuits.registry import BENCHMARK_NAMES, build_benchmark, c17
 from repro.sta.dsta import DeterministicSTA
+from tests.reference import ReferenceDSTA
 
 
 @pytest.fixture
@@ -64,7 +65,7 @@ class TestAnalyze:
 
 
 class TestVectorizedPath:
-    """The levelized IR path must be *bit-identical* to the scalar walk.
+    """The levelized IR pass must be *bit-identical* to the reference walk.
 
     ``max`` over floats and float addition are exact operations, so there
     is no tolerance here: every arrival must match to the last bit on every
@@ -74,36 +75,30 @@ class TestVectorizedPath:
     @pytest.mark.parametrize("name", ["c17", *BENCHMARK_NAMES])
     def test_bit_identical_on_registry(self, delay_model, name):
         circuit = c17() if name == "c17" else build_benchmark(name)
-        scalar_arrival, scalar_delays = DeterministicSTA(
-            delay_model
-        ).arrival_times(circuit)
-        vec_arrival, vec_delays = DeterministicSTA(
-            delay_model, vectorized=True
-        ).arrival_times(circuit)
-        assert vec_delays == scalar_delays
-        assert vec_arrival == scalar_arrival
+        ref_arrival, ref_delays = ReferenceDSTA(delay_model).arrival_times(circuit)
+        arrival, delays = DeterministicSTA(delay_model).arrival_times(circuit)
+        assert delays == ref_delays
+        assert arrival == ref_arrival
 
     def test_analyze_report_matches(self, delay_model, c17_circuit):
-        scalar = DeterministicSTA(delay_model).analyze(c17_circuit)
-        vec = DeterministicSTA(delay_model, vectorized=True).analyze(c17_circuit)
-        assert vec.arrival == scalar.arrival
-        assert vec.required == scalar.required
-        assert vec.slack == scalar.slack
-        assert vec.critical_path == scalar.critical_path
-        assert vec.worst_output == scalar.worst_output
-        assert vec.worst_arrival == scalar.worst_arrival
+        reference = ReferenceDSTA(delay_model).analyze(c17_circuit)
+        report = DeterministicSTA(delay_model).analyze(c17_circuit)
+        assert report.arrival == reference.arrival
+        assert report.required == reference.required
+        assert report.slack == reference.slack
+        assert report.critical_path == reference.critical_path
+        assert report.worst_output == reference.worst_output
+        assert report.worst_arrival == reference.worst_arrival
 
     def test_floating_inputs_read_as_zero(self, delay_model):
         from repro.netlist.circuit import Circuit
 
         circuit = Circuit("f", primary_inputs=["a"], primary_outputs=["y"])
         circuit.add("g", "NAND2", ["a", "ghost"], "y")
-        scalar_arrival, _ = DeterministicSTA(delay_model).arrival_times(circuit)
-        vec_arrival, _ = DeterministicSTA(
-            delay_model, vectorized=True
-        ).arrival_times(circuit)
-        assert vec_arrival == scalar_arrival
-        assert "ghost" not in vec_arrival  # reads as 0.0 via .get, like scalar
+        ref_arrival, _ = ReferenceDSTA(delay_model).arrival_times(circuit)
+        arrival, _ = DeterministicSTA(delay_model).arrival_times(circuit)
+        assert arrival == ref_arrival
+        assert "ghost" not in arrival  # reads as 0.0 via .get
 
 
 class TestCriticalPath:

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, load_circuit, main
 from repro.circuits.registry import c17
 from repro.netlist.bench import write_bench
@@ -410,3 +416,51 @@ class TestLintCommand:
         err = capsys.readouterr().err
         assert "pre-flight" in err
         assert "--no-preflight" in err
+
+
+def _run_cli(*argv):
+    """Run ``python -m repro.cli`` in a fresh interpreter; the real exit path."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestInputErrors:
+    """Bad user input ends in one ``error:`` line and exit 2, never a traceback."""
+
+    @staticmethod
+    def _assert_one_line_error(proc, *fragments):
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: ")
+        for fragment in fragments:
+            assert fragment in lines[0]
+
+    def test_port_declared_as_input_and_output(self, tmp_path):
+        path = tmp_path / "dup.bench"
+        path.write_text("INPUT(a)\nOUTPUT(y)\nOUTPUT(a)\ny = NOT(a)\n")
+        proc = _run_cli("info", str(path))
+        self._assert_one_line_error(proc, "line 3, column 8", "'a'")
+
+    def test_unknown_circuit_name(self):
+        proc = _run_cli("info", "nosuchcircuit")
+        self._assert_one_line_error(proc, "unknown benchmark 'nosuchcircuit'")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda(self, value):
+        proc = _run_cli("size", "c17", f"--lam={value}")
+        self._assert_one_line_error(proc, "--lam", "finite")
+        assert proc.stdout == ""
+
+    def test_out_of_range_sizer_setting(self, tmp_path):
+        proc = _run_cli("sweep", "c17", "--quick", "--max-iterations", "0",
+                        "--out", str(tmp_path))
+        self._assert_one_line_error(proc, "max_iterations must be >= 1")
